@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -68,6 +69,11 @@ type Config struct {
 
 // Dataset is a generated graph plus the metadata the platforms need to
 // "load" it: its name and its on-disk encoding size.
+//
+// A Dataset is immutable once Generate returns it: no code writes its
+// fields, its Edges or its Graph afterwards. That is what lets one
+// Dataset be shared by concurrent jobs, and lets it memoize derived
+// state such as its PowerGraph partitionings (see Partition).
 type Dataset struct {
 	Name     string
 	Graph    *graph.Graph
@@ -76,12 +82,85 @@ type Dataset struct {
 	// EdgeBytes is the size of one encoded edge in the simulated on-disk
 	// edge-list format (two decimal vertex IDs plus separators).
 	EdgeBytes int64
+
+	partMu sync.Mutex
+	parts  map[partKey]*partEntry
+}
+
+// partKey identifies one memoized partitioning of a dataset.
+type partKey struct {
+	machines int
+	strategy graph.VertexCutStrategy
+}
+
+// partEntry is one memoized partitioning: built once, by the first
+// caller, while later callers for the same key wait on once. bytes is
+// written under Dataset.partMu when the build finishes.
+type partEntry struct {
+	once  sync.Once
+	p     *graph.Partitioned
+	bytes int64
 }
 
 // SizeBytes returns the simulated on-disk size of the edge-list file.
 func (d *Dataset) SizeBytes() int64 {
 	return int64(len(d.Edges)) * d.EdgeBytes
 }
+
+// Partition returns the dataset's vertex-cut partitioning over machines
+// with the given strategy (see graph.Partition), building it on first
+// use. Concurrent callers for one key wait for a single build and all
+// get the same pointer; the result is shared read-only and never
+// mutated, so every job on this dataset sees exactly the partitioning a
+// fresh build would produce.
+func (d *Dataset) Partition(machines int, strategy graph.VertexCutStrategy) *graph.Partitioned {
+	key := partKey{machines: machines, strategy: strategy}
+	d.partMu.Lock()
+	e, ok := d.parts[key]
+	if !ok {
+		if d.parts == nil {
+			d.parts = map[partKey]*partEntry{}
+		}
+		e = &partEntry{}
+		d.parts[key] = e
+	}
+	d.partMu.Unlock()
+	e.once.Do(func() {
+		p := graph.Partition(d.Graph, d.Edges, machines, strategy)
+		bytes := p.MemoryBytes()
+		d.partMu.Lock()
+		e.p, e.bytes = p, bytes
+		d.partMu.Unlock()
+	})
+	if e.p == nil {
+		// The first build panicked; sync.Once will not run it again.
+		panic(fmt.Sprintf("datagen: partitioning %s over %d machines failed in an earlier call", d.Name, machines))
+	}
+	return e.p
+}
+
+// Twin returns a dataset with d's name, graph and edges and an empty
+// partitioning memo. Partitionings built on the twin are freed with it
+// rather than retained by d.
+func (d *Dataset) Twin() *Dataset {
+	return &Dataset{Name: d.Name, Graph: d.Graph, Edges: d.Edges, Directed: d.Directed, EdgeBytes: d.EdgeBytes}
+}
+
+// MemoryBytes estimates the dataset's heap footprint: its edge list, its
+// CSR graph, and every partitioning memoized on it so far (a build still
+// in flight counts once it finishes).
+func (d *Dataset) MemoryBytes() int64 {
+	b := int64(len(d.Edges))*edgeMemBytes + d.Graph.MemoryBytes()
+	d.partMu.Lock()
+	defer d.partMu.Unlock()
+	for _, e := range d.parts {
+		b += e.bytes
+	}
+	return b
+}
+
+// edgeMemBytes is the in-memory size of one graph.Edge: two int64 IDs.
+const edgeMemBytes = 16
 
 // DefaultEdgeBytes is the simulated encoding size per edge: two ~9-digit
 // decimal IDs, a space and a newline.

@@ -2,7 +2,10 @@ package datagen
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -193,4 +196,71 @@ func TestKindString(t *testing.T) {
 	if Kind(42).String() == "" {
 		t.Fatal("unknown kind should stringify")
 	}
+}
+
+// TestPartitionMemoizedOnceUnderConcurrency races many callers for one
+// partitioning key: every caller must get the same pointer from a single
+// build, and that build must equal a fresh graph.Partition. Run it with
+// -race: the memo is shared by concurrent jobs.
+func TestPartitionMemoizedOnceUnderConcurrency(t *testing.T) {
+	ds, err := Generate(Config{Kind: SocialNetwork, Vertices: 800, Edges: 4000, Seed: 5, Directed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ds.MemoryBytes()
+	const callers = 8
+	got := make([]*graph.Partitioned, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = ds.Partition(4, graph.VertexCutHash)
+			ds.MemoryBytes() // charges are read while builds are in flight
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, p := range got {
+		if p != got[0] {
+			t.Fatalf("caller %d got a different partitioning pointer", i)
+		}
+	}
+	if want := base + got[0].MemoryBytes(); ds.MemoryBytes() != want {
+		t.Fatalf("dataset charges %d bytes after the race, want %d (one build)", ds.MemoryBytes(), want)
+	}
+	if ds.Partition(4, graph.VertexCutHash) != got[0] {
+		t.Fatal("a later call rebuilt the partitioning")
+	}
+	if ds.Partition(4, graph.VertexCutGreedy) == got[0] || ds.Partition(3, graph.VertexCutHash) == got[0] {
+		t.Fatal("distinct keys share a partitioning")
+	}
+
+	fresh := graph.Partition(ds.Graph, ds.Edges, 4, graph.VertexCutHash)
+	memo := got[0]
+	for m := 0; m < 4; m++ {
+		if memo.MasterCounts()[m] != fresh.MasterCounts()[m] || memo.ReplicaCounts()[m] != fresh.ReplicaCounts()[m] {
+			t.Fatalf("machine %d counts differ from a fresh build", m)
+		}
+		mf, ff := memo.Fragments()[m], fresh.Fragments()[m]
+		for v := graph.VertexID(0); int64(v) < ds.Graph.NumVertices(); v++ {
+			if !equalIDs(mf.OutNeighbors(v), ff.OutNeighbors(v)) || !equalIDs(mf.InNeighbors(v), ff.InNeighbors(v)) {
+				t.Fatalf("machine %d vertex %d adjacency differs from a fresh build", m, v)
+			}
+		}
+	}
+}
+
+func equalIDs(a, b []graph.VertexID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -184,8 +184,8 @@ func (j *job) rankMain(rp *sim.Proc, comm *mpi.Comm) {
 	}
 	comm.Barrier(rp) // ranks 1..k-1 idle until rank 0 finishes distributing
 	fin := j.em.Start(j.loadOp, actor, "FinalizeGraph")
-	localEdges := float64(j.st.localArcs[r]) * scale
-	replicas := float64(j.st.replicaCount[r]) * scale
+	localEdges := float64(j.st.vc.ArcCounts()[r]) * scale
+	replicas := float64(j.st.part.ReplicaCounts()[r]) * scale
 	node.ExecParallel(rp, localEdges*c.FinalizeCPUPerEdge+replicas*c.FinalizeCPUPerReplica, j.cfg.ComputeThreads)
 	j.em.End(fin)
 	comm.Barrier(rp)
@@ -252,7 +252,7 @@ func (j *job) rankMain(rp *sim.Proc, comm *mpi.Comm) {
 
 	// ---- OffloadGraph ----
 	j.offloadGate.Wait(rp)
-	masters := float64(j.st.masterCount[r]) * scale
+	masters := float64(j.st.part.MasterCounts()[r]) * scale
 	if r == 0 {
 		collect := j.em.Start(j.offloadOp, actor, "CollectResults")
 		for i := 1; i < j.cfg.Machines; i++ {
@@ -362,8 +362,10 @@ func (j *job) parallelLoad(rp *sim.Proc, comm *mpi.Comm, actor string) {
 	j.em.Infof(op, "BytesLoaded", "%d", slice)
 }
 
-// initState builds the vertex cut, local CSR fragments, and initial vertex
-// values (see newState).
+// initState builds the per-job state over the dataset's partitioning,
+// which the dataset builds on first use and shares read-only with every
+// later job on the same machine count and cut strategy.
 func (j *job) initState() {
-	j.st = newState(j.ds.Graph, j.ds.Edges, j.cfg.Machines, j.cfg.CutStrategy, j.cfg.HostParallelism, j.program)
+	part := j.ds.Partition(j.cfg.Machines, j.cfg.CutStrategy)
+	j.st = newState(j.ds.Graph, part, j.cfg.HostParallelism, j.program)
 }

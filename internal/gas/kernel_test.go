@@ -60,7 +60,7 @@ func TestGASIterationKernelAllocs(t *testing.T) {
 		{"parallel", 4, maxIterationAllocsParallel},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := newState(ds.Graph, ds.Edges, 4, graph.VertexCutGreedy, tc.par, churn{})
+			st := newState(ds.Graph, graph.Partition(ds.Graph, ds.Edges, 4, graph.VertexCutGreedy), tc.par, churn{})
 			drive := func() {
 				st.ensurePrepared(churn{}, st.iter)
 				st.finishIteration()
@@ -86,7 +86,7 @@ func BenchmarkGASIterationKernel(b *testing.B) {
 	ds := kernelDataset(b)
 	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallelism-%d", par), func(b *testing.B) {
-			st := newState(ds.Graph, ds.Edges, 4, graph.VertexCutGreedy, par, churn{})
+			st := newState(ds.Graph, graph.Partition(ds.Graph, ds.Edges, 4, graph.VertexCutGreedy), par, churn{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

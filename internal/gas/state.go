@@ -23,7 +23,11 @@ import (
 // preallocated and reused, so a steady-state iteration allocates only the
 // fork/join bookkeeping (see TestGASIterationKernelAllocs).
 type state struct {
-	g    *graph.Graph
+	g *graph.Graph
+	// part is the graph's shared, read-only partitioning; vc and frags
+	// are its vertex cut and per-machine fragments, held directly for
+	// the hot loops.
+	part *graph.Partitioned
 	vc   *graph.VertexCut
 	k    int
 	pool *sim.HostPool
@@ -35,10 +39,6 @@ type state struct {
 
 	values []float64
 	active []bool
-
-	localArcs    []int64
-	replicaCount []int64
-	masterCount  []int64
 
 	iter     int
 	prepared int // last iteration whose work has been computed; starts -1
@@ -123,35 +123,28 @@ func (sh *gasShard) reset() {
 	sh.activations = sh.activations[:0]
 }
 
-// newState builds the full semantic state for a job: the vertex cut, the
-// per-machine local CSR fragments, initial vertex values and activity, and
-// the preallocated iteration structures. It is engine-free so kernel tests
-// and benchmarks can drive iterations without a simulation around them.
-func newState(g *graph.Graph, edges []graph.Edge, k int, strategy graph.VertexCutStrategy, hostParallelism int, prog Program) *state {
-	vc := graph.NewVertexCut(g.NumVertices(), edges, k, strategy)
+// newState builds the per-job semantic state over a graph's shared
+// partitioning (see graph.Partition): initial vertex values and
+// activity, and the preallocated iteration structures. The partitioning
+// is only read, so one may serve any number of jobs. newState is
+// engine-free so kernel tests and benchmarks can drive iterations
+// without a simulation around them.
+func newState(g *graph.Graph, part *graph.Partitioned, hostParallelism int, prog Program) *state {
 	st := &state{
-		g:            g,
-		vc:           vc,
-		k:            k,
-		pool:         sim.NewHostPool(hostParallelism),
-		frags:        graph.BuildFragments(g.NumVertices(), edges, vc, !g.Directed()),
-		values:       make([]float64, g.NumVertices()),
-		active:       make([]bool, g.NumVertices()),
-		localArcs:    vc.ArcCounts(),
-		replicaCount: make([]int64, k),
-		masterCount:  make([]int64, k),
+		g:      g,
+		part:   part,
+		vc:     part.Cut(),
+		k:      part.Cut().K(),
+		pool:   sim.NewHostPool(hostParallelism),
+		frags:  part.Fragments(),
+		values: make([]float64, g.NumVertices()),
+		active: make([]bool, g.NumVertices()),
 	}
 	for v := int64(0); v < g.NumVertices(); v++ {
-		val, act := prog.Init(graph.VertexID(v), g)
-		st.values[v] = val
-		st.active[v] = act
-		st.masterCount[vc.Master(graph.VertexID(v))]++
-		for _, m := range vc.Replicas(graph.VertexID(v)) {
-			st.replicaCount[m]++
-		}
+		st.values[v], st.active[v] = prog.Init(graph.VertexID(v), g)
 	}
 	st.resetCounters()
-	st.shards = newGasShards(st.pool.Parallelism(), k)
+	st.shards = newGasShards(st.pool.Parallelism(), st.k)
 	st.gatherFn = st.gatherShard
 	st.applyFn = st.applyShard
 	st.scatterFn = st.scatterShard

@@ -137,6 +137,17 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inTargets[g.inOffsets[v]:g.inOffsets[v+1]]
 }
 
+// MemoryBytes estimates the graph's heap footprint: its offset and
+// target arrays, counted once when an undirected graph shares them
+// between the two directions.
+func (g *Graph) MemoryBytes() int64 {
+	b := int64(len(g.outOffsets))*8 + int64(len(g.outTargets))*8
+	if g.directed {
+		b += int64(len(g.inOffsets))*8 + int64(len(g.inTargets))*8
+	}
+	return b
+}
+
 // DegreeStats summarizes the out-degree distribution of a graph.
 type DegreeStats struct {
 	Min    int64

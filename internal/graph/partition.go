@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements the partitioning strategies the simulated platforms
 // use to distribute a graph across workers: edge-cut partitioners (hash
@@ -114,8 +111,11 @@ type VertexCut struct {
 	place []int
 	// master[v] is the machine owning vertex v's master replica.
 	master []int
-	// replicas[v] is the sorted set of machines holding a replica of v.
-	replicas [][]int
+	// replicas[replOff[v]:replOff[v+1]] is the ascending set of machines
+	// holding a replica of v: one flat array instead of a slice per
+	// vertex, so the engines walk it sequentially.
+	replOff  []int
+	replicas []int
 	arcCount []int64
 }
 
@@ -153,19 +153,13 @@ func NewVertexCut(n int64, edges []Edge, k int, strategy VertexCutStrategy) *Ver
 		k:        k,
 		place:    make([]int, len(edges)),
 		master:   make([]int, n),
-		replicas: make([][]int, n),
+		replOff:  make([]int, n+1),
 		arcCount: make([]int64, k),
 	}
-	// seen[v*k+m] records that machine m already holds a replica of v — a
-	// flat bitset instead of per-vertex maps, which dominated the profile
-	// of large cuts.
+	// seen[v*k+m] records that machine m holds a replica of v — a flat
+	// bitset instead of per-vertex maps, which dominated the profile of
+	// large cuts. Its rows are the replica sets, already in machine order.
 	seen := make([]bool, n*int64(k))
-	record := func(v VertexID, m int) {
-		if !seen[int64(v)*int64(k)+int64(m)] {
-			seen[int64(v)*int64(k)+int64(m)] = true
-			vc.replicas[v] = append(vc.replicas[v], m)
-		}
-	}
 	for i, e := range edges {
 		var m int
 		switch strategy {
@@ -176,26 +170,30 @@ func NewVertexCut(n int64, edges []Edge, k int, strategy VertexCutStrategy) *Ver
 		}
 		vc.place[i] = m
 		vc.arcCount[m]++
-		record(e.Src, m)
-		record(e.Dst, m)
+		seen[int64(e.Src)*int64(k)+int64(m)] = true
+		seen[int64(e.Dst)*int64(k)+int64(m)] = true
 	}
+	vc.replicas = make([]int, 0, n) // every vertex has at least one
 	for v := int64(0); v < n; v++ {
-		sort.Ints(vc.replicas[v])
-		if len(vc.replicas[v]) > 0 {
+		best := -1
+		for m, held := range seen[v*int64(k) : (v+1)*int64(k)] {
+			if !held {
+				continue
+			}
+			vc.replicas = append(vc.replicas, m)
 			// Master is the least-loaded replica machine, ties by index —
 			// deterministic and spreads masters.
-			best := vc.replicas[v][0]
-			for _, m := range vc.replicas[v][1:] {
-				if vc.arcCount[m] < vc.arcCount[best] {
-					best = m
-				}
+			if best < 0 || vc.arcCount[m] < vc.arcCount[best] {
+				best = m
 			}
-			vc.master[v] = best
-		} else {
-			// Isolated vertex: assign by hash.
-			vc.master[v] = int(uint64(v) % uint64(k))
-			vc.replicas[v] = []int{vc.master[v]}
 		}
+		if best < 0 {
+			// Isolated vertex: assign by hash.
+			best = int(uint64(v) % uint64(k))
+			vc.replicas = append(vc.replicas, best)
+		}
+		vc.master[v] = best
+		vc.replOff[v+1] = len(vc.replicas)
 	}
 	return vc
 }
@@ -239,21 +237,27 @@ func (vc *VertexCut) ArcMachine(i int) int { return vc.place[i] }
 // Master returns the machine owning v's master replica.
 func (vc *VertexCut) Master(v VertexID) int { return vc.master[v] }
 
-// Replicas returns the sorted machines holding a replica of v.
-func (vc *VertexCut) Replicas(v VertexID) []int { return vc.replicas[v] }
+// Replicas returns the sorted machines holding a replica of v. The slice
+// aliases the cut's storage and must not be modified.
+func (vc *VertexCut) Replicas(v VertexID) []int {
+	lo, hi := vc.replOff[v], vc.replOff[v+1]
+	return vc.replicas[lo:hi:hi]
+}
 
 // ArcCounts returns per-machine arc counts.
 func (vc *VertexCut) ArcCounts() []int64 { return vc.arcCount }
 
+// MemoryBytes estimates the vertex cut's heap footprint.
+func (vc *VertexCut) MemoryBytes() int64 {
+	return int64(len(vc.place)+len(vc.master)+len(vc.replOff)+cap(vc.replicas)+len(vc.arcCount)) * 8
+}
+
 // ReplicationFactor returns the average number of replicas per vertex —
 // PowerGraph's key partitioning-quality metric.
 func (vc *VertexCut) ReplicationFactor() float64 {
-	if len(vc.replicas) == 0 {
+	n := len(vc.master)
+	if n == 0 {
 		return 0
 	}
-	total := 0
-	for _, r := range vc.replicas {
-		total += len(r)
-	}
-	return float64(total) / float64(len(vc.replicas))
+	return float64(len(vc.replicas)) / float64(n)
 }

@@ -269,7 +269,7 @@ func TestStoreWithNilDB(t *testing.T) {
 		t.Fatal("nil-db store reports storage")
 	}
 	var buf bytes.Buffer
-	NewMetrics().WritePrometheus(&buf, 0, 0, nil, BreakerClosed, nil)
+	NewMetrics().WritePrometheus(&buf, 0, 0, nil, BreakerClosed, nil, GraphCacheStats{})
 	if bytes.Contains(buf.Bytes(), []byte("granula_storage_")) {
 		t.Fatalf("in-memory metrics leak storage family:\n%s", buf.String())
 	}

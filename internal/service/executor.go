@@ -232,15 +232,9 @@ type Executor struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // backoff jitter
 
-	dsMu     sync.Mutex
-	datasets map[datasetKey]*datagen.Dataset
-}
-
-type datasetKey struct {
-	kind     string
-	vertices int64
-	edges    int64
-	seed     int64
+	// graphs holds prepared graphs for reuse across jobs, within
+	// graphCacheBudget bytes.
+	graphs *graphCache
 }
 
 // NewExecutor starts a pool of workers over a queue of the given
@@ -286,7 +280,7 @@ func NewExecutorWith(workers, queueCap int, store *Store, m *Metrics, opts Execu
 		queueCap: queueCap,
 		states:   map[string]*JobState{},
 		rng:      rand.New(rand.NewSource(seed)),
-		datasets: map[datasetKey]*datagen.Dataset{},
+		graphs:   newGraphCache(graphCacheBudget, generateDataset),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.wg.Add(workers)
@@ -634,18 +628,10 @@ func (e *Executor) setDone(id string, sum Summary) {
 	e.metrics.JobFinished(true)
 }
 
-// dataset returns the generated dataset for a request, cached by
-// (kind, vertices, edges, seed) so concurrent jobs over the same graph
-// generate it once.
-func (e *Executor) dataset(req JobRequest) (*datagen.Dataset, error) {
-	key := datasetKey{kind: req.GraphKind, vertices: req.Vertices, edges: req.Edges, seed: req.Seed}
-	e.dsMu.Lock()
-	defer e.dsMu.Unlock()
-	if ds, ok := e.datasets[key]; ok {
-		return ds, nil
-	}
+// generateDataset builds the directed graph a cache key names.
+func generateDataset(key datasetKey) (*datagen.Dataset, error) {
 	var kind datagen.Kind
-	switch req.GraphKind {
+	switch key.kind {
 	case "social":
 		kind = datagen.SocialNetwork
 	case "rmat":
@@ -653,22 +639,22 @@ func (e *Executor) dataset(req JobRequest) (*datagen.Dataset, error) {
 	case "uniform":
 		kind = datagen.Uniform
 	}
-	ds, err := datagen.Generate(datagen.Config{
-		Kind: kind, Vertices: req.Vertices, Edges: req.Edges,
-		Seed: req.Seed, Directed: true,
+	return datagen.Generate(datagen.Config{
+		Kind: kind, Vertices: key.vertices, Edges: key.edges,
+		Seed: key.seed, Directed: true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	e.datasets[key] = ds
-	return ds, nil
 }
 
+// GraphCacheStats reports the prepared-graph cache's counters.
+func (e *Executor) GraphCacheStats() GraphCacheStats { return e.graphs.stats() }
+
 func (e *Executor) run(ctx context.Context, id string, req JobRequest) (Summary, *archive.Job, error) {
-	ds, err := e.dataset(req)
+	ds, ent, err := e.graphs.get(datasetKey{kind: req.GraphKind, vertices: req.Vertices, edges: req.Edges, seed: req.Seed})
 	if err != nil {
 		return Summary{}, nil, err
 	}
+	// Charge the partitionings the run memoizes on the dataset.
+	defer e.graphs.settle(ent)
 	spec := platforms.Spec{
 		Platform:        req.Platform,
 		Algorithm:       req.Algorithm,

@@ -64,9 +64,13 @@ type LoadTestConfig struct {
 
 // LoadTestResult summarizes one load-test run.
 type LoadTestResult struct {
-	Jobs       int
-	Done       int
-	Failed     int
+	Jobs   int
+	Done   int
+	Failed int
+	// Failures holds the cause of each failed operation, in the order
+	// they failed (the first maxLoadFailures of them), so a failed run
+	// explains itself even when Out discards progress lines.
+	Failures   []string
 	Reads      int
 	Requests   int
 	Wall       time.Duration
@@ -113,11 +117,27 @@ type loadClient struct {
 	requests     int
 	done         int
 	failed       int
+	failures     []string
 	reads        int
 	doneIDs      []string // completed job IDs, the targets of mixed reads
 	streamed     int
 	ingestEvents int
 	tailLat      []time.Duration
+}
+
+// maxLoadFailures bounds the failure causes a load test keeps.
+const maxLoadFailures = 32
+
+// fail counts one failed operation and records its cause.
+func (lc *loadClient) fail(format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	fmt.Fprintf(lc.cfg.Out, "[loadtest] %s\n", msg)
+	lc.mu.Lock()
+	lc.failed++
+	if len(lc.failures) < maxLoadFailures {
+		lc.failures = append(lc.failures, msg)
+	}
+	lc.mu.Unlock()
 }
 
 func (lc *loadClient) jobDone(id string) {
@@ -570,17 +590,11 @@ func RunLoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 				switch {
 				case op < 0:
 					if err := lc.readOnce(rng, zipf, cfg.QueryVariants); err != nil {
-						fmt.Fprintf(cfg.Out, "[loadtest] read: %v\n", err)
-						lc.mu.Lock()
-						lc.failed++
-						lc.mu.Unlock()
+						lc.fail("read: %v", err)
 					}
 				case op >= cfg.Jobs-nStream:
 					if err := lc.streamJob(op); err != nil {
-						fmt.Fprintf(cfg.Out, "[loadtest] stream job %d: %v\n", op, err)
-						lc.mu.Lock()
-						lc.failed++
-						lc.mu.Unlock()
+						lc.fail("stream job %d: %v", op, err)
 						continue
 					}
 					// The sealed stream is a normal archived job, so it
@@ -589,19 +603,13 @@ func RunLoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 				case cfg.ReadRatio > 0:
 					id, err := lc.submitJob(op)
 					if err != nil {
-						fmt.Fprintf(cfg.Out, "[loadtest] job %d: %v\n", op, err)
-						lc.mu.Lock()
-						lc.failed++
-						lc.mu.Unlock()
+						lc.fail("job %d: %v", op, err)
 						continue
 					}
 					lc.jobDone(id)
 				default:
 					if err := lc.runJob(op); err != nil {
-						fmt.Fprintf(cfg.Out, "[loadtest] job %d: %v\n", op, err)
-						lc.mu.Lock()
-						lc.failed++
-						lc.mu.Unlock()
+						lc.fail("job %d: %v", op, err)
 						continue
 					}
 					lc.jobDone("")
@@ -619,10 +627,7 @@ func RunLoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 		if id, err := lc.submitJob(0); err == nil {
 			lc.jobDone(id)
 		} else {
-			fmt.Fprintf(cfg.Out, "[loadtest] seed job: %v\n", err)
-			lc.mu.Lock()
-			lc.failed++
-			lc.mu.Unlock()
+			lc.fail("seed job: %v", err)
 		}
 	}
 	for _, op := range ops {
@@ -639,6 +644,7 @@ func RunLoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 		Jobs:     cfg.Jobs,
 		Done:     lc.done,
 		Failed:   lc.failed,
+		Failures: lc.failures,
 		Reads:    lc.reads,
 		Requests: lc.requests,
 		Wall:     wall,
@@ -693,6 +699,9 @@ func (r *LoadTestResult) Render() string {
 	if r.Streamed > 0 {
 		out += fmt.Sprintf("streaming: %d jobs, %d events ingested (%.0f events/s), tail latency p50 %s  p99 %s  max %s\n",
 			r.Streamed, r.IngestEvents, r.IngestPerSec, r.TailP50, r.TailP99, r.TailMax)
+	}
+	for _, f := range r.Failures {
+		out += "failure: " + f + "\n"
 	}
 	out += fmt.Sprintf("request latency: p50 %s  p95 %s  p99 %s  max %s\n",
 		r.P50, r.P95, r.P99, r.Max)

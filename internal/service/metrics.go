@@ -280,8 +280,9 @@ type CacheStats struct {
 // caller at scrape time; storage is the archivedb engine's counters,
 // nil when the store runs without durability (the storage family is
 // then omitted entirely); caches is the read-path cache counters, nil
-// when both caches are disabled.
-func (m *Metrics) WritePrometheus(w io.Writer, queueDepth, storeJobs int, storage *archivedb.Stats, breaker BreakerState, caches *CacheStats) {
+// when both caches are disabled; graphs is the executor's
+// prepared-graph cache.
+func (m *Metrics) WritePrometheus(w io.Writer, queueDepth, storeJobs int, storage *archivedb.Stats, breaker BreakerState, caches *CacheStats, graphs GraphCacheStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -362,6 +363,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, queueDepth, storeJobs int, storag
 		counter("granula_respcache_evictions_total", "Responses evicted by LRU pressure.", caches.Resp.Evictions)
 		gauge("granula_respcache_entries", "Responses held in the cache.", int64(caches.Resp.Size))
 	}
+	counter("granula_graphcache_hits_total", "Jobs that reused a prepared graph.", graphs.Hits)
+	counter("granula_graphcache_misses_total", "Jobs that generated their graph.", graphs.Misses)
+	counter("granula_graphcache_evictions_total", "Prepared graphs evicted by the memory budget.", graphs.Evictions)
+	gauge("granula_graphcache_entries", "Prepared graphs held in the cache.", int64(graphs.Entries))
+	gauge("granula_graphcache_bytes", "Bytes charged to the prepared-graph cache: datasets plus their memoized partitionings.", graphs.Bytes)
 	if storage == nil {
 		return
 	}

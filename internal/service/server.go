@@ -52,6 +52,11 @@ type Server struct {
 	// and in-process jobs mirrored by the executor's sinks.
 	streams   *stream.Manager
 	heartbeat time.Duration
+	// watchRace, when set, runs inside a /watch tail between its read of
+	// the live log and its next check of the job's state: the window in
+	// which a job can seal and leave the live table. Tests set it to
+	// force that interleaving; it is nil otherwise.
+	watchRace func(id string)
 
 	// durableMu guards durable, the per-live-job high-water sequence
 	// already persisted as stream batches; an ingest ack implies the
@@ -696,7 +701,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w, s.exec.QueueDepth(), s.store.Len(), s.store.StorageStats(), s.store.BreakerState(), s.cacheStats())
+	s.metrics.WritePrometheus(w, s.exec.QueueDepth(), s.store.Len(), s.store.StorageStats(), s.store.BreakerState(), s.cacheStats(), s.exec.GraphCacheStats())
 	fmt.Fprintf(w, "# HELP granula_stream_live_jobs Jobs currently streaming (external ingest plus in-process mirrors).\n# TYPE granula_stream_live_jobs gauge\ngranula_stream_live_jobs %d\n", s.streams.Live())
 	if s.extra != nil {
 		s.extra(w)

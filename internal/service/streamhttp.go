@@ -374,8 +374,16 @@ func (s *Server) handleWatchPoll(w http.ResponseWriter, r *http.Request, id stri
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
-		evs := live.EventsAfter(from)
+		// Read the seal flag before the snapshot: a seal seen here is in
+		// the snapshot, and a seal accepted in between shows in the events.
 		sealed, _ := live.Sealed()
+		if s.watchRace != nil {
+			s.watchRace(id)
+		}
+		evs := live.EventsAfter(from)
+		if n := len(evs); n > 0 && evs[n-1].Type == stream.TypeSeal {
+			sealed = true
+		}
 		if len(evs) > 0 || sealed || wait == 0 {
 			lastSeq := from
 			if len(evs) > 0 {
@@ -515,40 +523,54 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
 	cursor := from
-	for {
+	// send writes every event after the cursor as frames and advances
+	// the cursor; false means the client is gone.
+	send := func() bool {
 		evs := live.EventsAfter(cursor)
 		for _, e := range evs {
 			cursor = e.Seq
 			if agg == nil {
 				if err := stream.WriteFrame(w, e.Seq, stream.EventFrameName(e), e); err != nil {
-					return
+					return false
 				}
 				continue
 			}
 			for _, win := range agg.Feed(e) {
 				if err := stream.WriteFrame(w, win.LastSeq, "window", win); err != nil {
-					return
+					return false
 				}
 			}
 			if e.Type == stream.TypeSeal {
 				if win := agg.Flush(); win != nil {
 					if err := stream.WriteFrame(w, win.LastSeq, "window", *win); err != nil {
-						return
+						return false
 					}
 				}
 				if err := stream.WriteFrame(w, e.Seq, "seal", e); err != nil {
-					return
+					return false
 				}
 			}
 		}
 		if len(evs) > 0 {
 			flusher.Flush()
 		}
+		return true
+	}
+	for {
+		if !send() {
+			return
+		}
 		if sealed, _ := live.Sealed(); sealed && cursor >= live.LastSeq() {
 			return
 		}
+		if s.watchRace != nil {
+			s.watchRace(id)
+		}
 		if cur, stillLive := s.streams.Get(id); !stillLive || cur != live {
-			// Removed (archived or abandoned) with nothing left to send.
+			// Removed (archived or abandoned). Events accepted after the
+			// snapshot above — the seal among them — were never sent, and
+			// the held log still has them: drain it once more.
+			send()
 			return
 		}
 		select {

@@ -335,6 +335,74 @@ func TestWatchTailAndResume(t *testing.T) {
 	}
 }
 
+// TestWatchSealRace forces the interleaving behind the seal-drop race:
+// the rest of a stream, seal included, is ingested — and the job
+// archived and removed from the live table — exactly between a tail's
+// read of the live log and its next check of the job. Both the SSE tail
+// and the long-poll fallback must still deliver the seal.
+func TestWatchSealRace(t *testing.T) {
+	store, metrics := NewStore(), NewMetrics()
+	exec := NewExecutor(1, 4, store, metrics)
+	srv := NewServerWith(exec, store, metrics, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer exec.Shutdown(context.Background())
+
+	events := streamEventsFixture()
+	var mu sync.Mutex
+	raced := map[string]error{}
+	srv.watchRace = func(id string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, done := raced[id]; done {
+			return
+		}
+		body, err := stream.EncodeEvents(events)
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.Post(ts.URL+"/ingest/"+id, "application/x-ndjson", bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("ingest: %d", resp.StatusCode)
+				}
+			}
+		}
+		raced[id] = err
+	}
+	checkRaced := func(id string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		err, ok := raced[id]
+		if !ok || err != nil {
+			t.Fatalf("%s: the race hook never sealed the job (ran %v, err %v)", id, ok, err)
+		}
+		if _, live := srv.streams.Get(id); live {
+			t.Fatalf("%s: job still live after its seal was ingested", id)
+		}
+	}
+
+	postIngest(t, ts.URL, "race-sse", events[:5])
+	text := watchCollect(t, ts.URL, "race-sse", "", "")
+	checkRaced("race-sse")
+	for _, want := range []string{"id: 5\nevent: env\n", "id: 8\nevent: op\n", "id: 9\nevent: seal\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("tail that raced the seal lacks %q:\n%s", want, text)
+		}
+	}
+
+	postIngest(t, ts.URL, "race-poll", events[:5])
+	code, body, _ := getBytes(t, ts.URL+"/watch/race-poll?poll=1&from=5&wait=30s")
+	checkRaced("race-poll")
+	var pr pollResponse
+	if code != http.StatusOK || json.Unmarshal(body, &pr) != nil {
+		t.Fatalf("poll: %d %s", code, body)
+	}
+	if !pr.Sealed || pr.Count != 4 || pr.LastSeq != 9 || pr.Events[len(pr.Events)-1].Type != stream.TypeSeal {
+		t.Fatalf("poll that raced the seal: %s", body)
+	}
+}
+
 func TestWatchResumeMidStream(t *testing.T) {
 	ts, _ := streamStack(t, ServerOptions{})
 	events := streamEventsFixture()
